@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -472,5 +473,39 @@ func TestPlanEstimateGoverned(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "budget") {
 		t.Errorf("stderr: %s", errOut)
+	}
+}
+
+// Five 30-row relations over disjoint attributes: the full join is a
+// 24.3 M-tuple Cartesian product. The tuple budget refuses it before it
+// is built, so the run exits 4 promptly instead of exhausting memory.
+func TestCartesianProductTripsBudgetBeforeBuild(t *testing.T) {
+	type rel struct {
+		Name  string     `json:"name"`
+		Attrs []string   `json:"attrs"`
+		Rows  [][]string `json:"rows"`
+	}
+	var rels []rel
+	for i := 0; i < 5; i++ {
+		r := rel{Name: fmt.Sprintf("R%d", i), Attrs: []string{fmt.Sprintf("X%d", i)}}
+		for k := 0; k < 30; k++ {
+			r.Rows = append(r.Rows, []string{fmt.Sprint(k)})
+		}
+		rels = append(rels, r)
+	}
+	body, err := json.Marshal(map[string][]rel{"relations": rels})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "product.json")
+	if err := os.WriteFile(path, body, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, errOut, code := run(t, "-file", path, "-max-tuples", "1000000")
+	if code != 4 {
+		t.Fatalf("exit %d, want 4 (budget-tripped): %s", code, errOut)
+	}
+	if !strings.Contains(errOut, "tuples budget exceeded") {
+		t.Errorf("want a typed tuple budget error: %s", errOut)
 	}
 }

@@ -15,9 +15,20 @@ import (
 // order (§2), so one materialization per subset serves every strategy,
 // condition check, and dynamic-programming state that mentions it.
 //
-// Evaluation of a subset splits off its last relation and joins it onto
-// the memoized result for the rest, so computing all 2^n subsets costs
+// A subset is materialized once, on its first memo miss, as the join of
+// two memoized parts. EvalJoin names the parts — a strategy step passes
+// its own children, so executing a plan builds exactly the plan's
+// intermediate results. Eval lets the evaluator pick them (split): a
+// connected subset splits off the lowest-index relation whose removal
+// leaves the rest connected, and an unconnected one splits into its
+// first component and the rest, so the only Cartesian products built
+// are those the subset itself requires. Computing all 2^n subsets costs
 // 2^n joins in total.
+//
+// Before building a Cartesian step under a tuple budget, the evaluator
+// checks the output size |A|·|B|, known exactly beforehand, against the
+// budget's remainder and trips without building, charging or memoizing
+// anything when it would not fit.
 //
 // An Evaluator is safe for concurrent use. The memo is striped across
 // memoShardCount RWMutex-guarded shards keyed on a hash of the subset
@@ -133,7 +144,8 @@ func (e *Evaluator) Recorder() *obs.Recorder { return e.rec }
 func (e *Evaluator) Database() *Database { return e.db }
 
 // Eval returns R_D′ for the subset s. It panics on the empty set, for
-// which R_D′ is undefined in the model.
+// which R_D′ is undefined in the model. On a memo miss it materializes
+// s from the split the evaluator picks (see split).
 //
 // Concurrent calls on the same subset compute the join once: the first
 // caller to miss installs an in-flight latch and materializes, later
@@ -145,6 +157,25 @@ func (e *Evaluator) Eval(s hypergraph.Set) *relation.Relation {
 	if s.Empty() {
 		panic("database: Eval of empty subset")
 	}
+	return e.eval(s, 0)
+}
+
+// EvalJoin returns R_{a∪b} for disjoint nonempty subsets a and b. On a
+// memo miss it materializes R_{a∪b} as Eval(a) ⋈ Eval(b) — the step a
+// strategy node with children a and b performs — with the same
+// in-flight latch, guard charge and metrics as Eval. On a hit the
+// memoized state is returned whichever split built it: the join is
+// commutative and associative, so the state is the same (§2).
+func (e *Evaluator) EvalJoin(a, b hypergraph.Set) *relation.Relation {
+	if a.Empty() || b.Empty() || !a.Disjoint(b) {
+		panic("database: EvalJoin of empty or overlapping subsets")
+	}
+	return e.eval(a.Union(b), a)
+}
+
+// eval returns R_s, materializing it on a miss from the parts left and
+// s − left; a zero left lets split pick them.
+func (e *Evaluator) eval(s, left hypergraph.Set) *relation.Relation {
 	sh := e.shard(s)
 	for {
 		if e.guard != nil {
@@ -179,14 +210,15 @@ func (e *Evaluator) Eval(s hypergraph.Set) *relation.Relation {
 		latch := make(chan struct{})
 		sh.inflight[s] = latch
 		sh.mu.Unlock()
-		return e.compute(sh, s, latch)
+		return e.compute(sh, s, left, latch)
 	}
 }
 
-// compute materializes the subset s, holding its in-flight latch. The
-// latch is released on every exit path, including a guard abort
-// unwinding through the charge, so waiters never deadlock.
-func (e *Evaluator) compute(sh *memoShard, s hypergraph.Set, latch chan struct{}) *relation.Relation {
+// compute materializes the subset s as R_left ⋈ R_{s−left}, holding its
+// in-flight latch. The latch is released on every exit path, including
+// a guard abort unwinding through the charge, so waiters never
+// deadlock.
+func (e *Evaluator) compute(sh *memoShard, s, left hypergraph.Set, latch chan struct{}) *relation.Relation {
 	defer func() {
 		sh.mu.Lock()
 		delete(sh.inflight, s)
@@ -198,9 +230,18 @@ func (e *Evaluator) compute(sh *memoShard, s hypergraph.Set, latch chan struct{}
 	if s.Len() == 1 {
 		result = e.db.Relation(s.First())
 	} else {
-		first := s.First()
-		rest := s.Remove(first)
-		result = relation.Join(e.Eval(rest), e.db.Relation(first))
+		if left == 0 {
+			left = split(e.db.graph, s)
+		}
+		right := s.Minus(left)
+		l, r := e.Eval(left), e.Eval(right)
+		if e.guard != nil && !e.db.graph.Linked(left, right) {
+			// A Cartesian step's output size is |A|·|B|, known before
+			// the join: trip now rather than build what the budget
+			// cannot pay for.
+			guard.Must(e.guard.AdmitTuples(int64(l.Size()) * int64(r.Size())))
+		}
+		result = relation.Join(l, r)
 	}
 	// Memoize before charging: the work is done either way, and a warm
 	// memo lets a degradation fallback reuse it free of charge.
@@ -220,6 +261,27 @@ func (e *Evaluator) compute(sh *memoShard, s hypergraph.Set, latch chan struct{}
 		}
 	}
 	return result
+}
+
+// split returns the left part of the split the evaluator uses for a
+// subset s of at least two relations when no plan names one; the right
+// part is s minus it. A connected s splits off the lowest-index
+// relation whose removal leaves the rest connected — a leaf of any
+// spanning tree of s qualifies, so one always exists. An unconnected s
+// splits into its first component and the rest. Either way every part
+// built is connected or a union of whole components, so the only
+// Cartesian products materialized are those s itself requires.
+func split(g *hypergraph.Graph, s hypergraph.Set) hypergraph.Set {
+	if c := g.Component(s); c != s {
+		return s.Minus(c)
+	}
+	for t := s; t != 0; t &= t - 1 {
+		rest := s.Remove(t.First())
+		if g.Connected(rest) {
+			return rest
+		}
+	}
+	panic("database: connected subset without a removable relation")
 }
 
 // memoGet returns the memoized relation for s, if present, without

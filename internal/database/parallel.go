@@ -93,27 +93,19 @@ func PrewarmConnectedObserved(db *Database, workers int, g *guard.Guard, rec *ob
 		levelWatch := tLevel.Start()
 		var levelTuples atomic.Int64
 		// Resolve each subset's decomposition against the previous
-		// level before the workers start: every size-k subset joins one
-		// relation onto a size-(k−1) state, all of which are already
-		// memoized, so the lookups cannot miss.
+		// level before the workers start: a connected subset splits off
+		// one relation and keeps a connected size-(k−1) rest (split),
+		// which is already memoized, so the lookups cannot miss.
 		type job struct {
-			set   hypergraph.Set
-			left  *relation.Relation
-			extra int
+			set         hypergraph.Set
+			left, right *relation.Relation
 		}
 		prepared := make([]job, 0, len(level))
 		for _, s := range level {
-			// Split off a relation whose removal leaves the rest
-			// connected (one always exists: a leaf of any spanning tree
-			// of the subset).
-			for _, i := range s.Indexes() {
-				rest := s.Remove(i)
-				if graph.Connected(rest) {
-					left, _ := ev.memoGet(rest)
-					prepared = append(prepared, job{set: s, left: left, extra: i})
-					break
-				}
-			}
+			rest := split(graph, s)
+			left, _ := ev.memoGet(rest)
+			right, _ := ev.memoGet(s.Minus(rest))
+			prepared = append(prepared, job{set: s, left: left, right: right})
 		}
 		// A buffered job channel sized to the level: the feeder cannot
 		// block, workers cannot block, so no goroutine can outlive the
@@ -149,7 +141,7 @@ func PrewarmConnectedObserved(db *Database, workers int, g *guard.Guard, rec *ob
 						continue // drain the remaining jobs cheaply
 					}
 					busy := tBusy.Start()
-					rel := relation.Join(j.left, db.Relation(j.extra))
+					rel := relation.Join(j.left, j.right)
 					busy.Stop()
 					// Mirror the guard's ledger into the evaluator's
 					// metrics before the charge can trip, so spend

@@ -74,12 +74,19 @@ type BudgetError struct {
 	Spent    int64
 	Limit    int64
 	Phase    string
+	// Refused is the size of a step turned away before it was built
+	// (AdmitTuples), which Spent does not include; 0 otherwise.
+	Refused int64
 }
 
 // Error describes the exceeded budget, its spend and its phase.
 func (e *BudgetError) Error() string {
-	return fmt.Sprintf("guard: %s budget exceeded in phase %q: spent %d, limit %d",
+	msg := fmt.Sprintf("guard: %s budget exceeded in phase %q: spent %d, limit %d",
 		e.Resource, e.Phase, e.Spent, e.Limit)
+	if e.Refused > 0 {
+		msg += fmt.Sprintf("; refused a step of %d tuples before building it", e.Refused)
+	}
+	return msg
 }
 
 // Is matches BudgetErrors against the ErrBudgetExceeded sentinel.
@@ -327,6 +334,23 @@ func (g *Guard) ChargeEval(resultTuples int) error {
 		if cause := g.ctx.Err(); cause != nil {
 			return g.cancelErrLocked(cause)
 		}
+	}
+	return nil
+}
+
+// AdmitTuples checks, before a step is built, whether materializing n
+// more tuples would exceed the tuple budget, and returns the typed
+// BudgetError, with the step's size in Refused, if so. It charges
+// nothing: a step refused here did no work, so the spend ledger stays
+// exactly the work performed.
+func (g *Guard) AdmitTuples(n int64) error {
+	if g == nil {
+		return nil
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.lim.MaxTuples > 0 && n > g.lim.MaxTuples-g.tuples {
+		return &BudgetError{Resource: "tuples", Spent: g.tuples, Limit: g.lim.MaxTuples, Phase: g.phase, Refused: n}
 	}
 	return nil
 }

@@ -23,6 +23,9 @@ func TestNilGuardIsNoOp(t *testing.T) {
 	if err := g.ChargeStates(1 << 30); err != nil {
 		t.Fatal(err)
 	}
+	if err := g.AdmitTuples(1 << 62); err != nil {
+		t.Fatal(err)
+	}
 	g.SetPhase("ignored")
 	if g.Phase() != "" {
 		t.Fatal("nil guard has no phase")
@@ -54,6 +57,31 @@ func TestTupleBudget(t *testing.T) {
 	}
 	if !Tripped(err) {
 		t.Fatal("budget errors are governance trips")
+	}
+}
+
+func TestAdmitTuplesChargesNothing(t *testing.T) {
+	g := New(nil, Limits{MaxTuples: 10})
+	g.SetPhase("execute")
+	if err := g.ChargeEval(4); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AdmitTuples(6); err != nil {
+		t.Fatalf("a step that exactly fills the budget: %v", err)
+	}
+	err := g.AdmitTuples(1 << 62)
+	var be *BudgetError
+	if !errors.As(err, &be) || !Tripped(err) {
+		t.Fatalf("want a typed budget trip, got %v", err)
+	}
+	if be.Resource != "tuples" || be.Phase != "execute" || be.Spent != 4 || be.Refused != 1<<62 || be.Limit != 10 {
+		t.Fatalf("wrong fields: %+v", be)
+	}
+	if tuples, states, steps := g.Spent(); tuples != 4 || states != 1 || steps != 1 {
+		t.Fatalf("admission charged: tuples=%d states=%d steps=%d", tuples, states, steps)
+	}
+	if err := New(nil, Limits{}).AdmitTuples(1 << 62); err != nil {
+		t.Fatalf("unlimited guard refused: %v", err)
 	}
 }
 

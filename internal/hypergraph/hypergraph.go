@@ -64,8 +64,8 @@ func (g *Graph) Attrs(s Set) relation.Schema {
 // excluding s itself.
 func (g *Graph) Neighbors(s Set) Set {
 	var out Set
-	for _, i := range s.Indexes() {
-		out |= g.adj[i]
+	for t := s; t != 0; t &= t - 1 {
+		out |= g.adj[t.First()]
 	}
 	return out &^ s
 }
@@ -75,8 +75,8 @@ func (g *Graph) Neighbors(s Set) Set {
 // distinct schemes coincides with pairwise adjacency between some member
 // of a and some member of b.
 func (g *Graph) Linked(a, b Set) bool {
-	for _, i := range a.Indexes() {
-		if g.adj[i]&b != 0 {
+	for t := a; t != 0; t &= t - 1 {
+		if g.adj[t.First()]&b != 0 {
 			return true
 		}
 	}
@@ -90,18 +90,28 @@ func (g *Graph) Connected(s Set) bool {
 	if s == 0 {
 		return false
 	}
-	return g.componentOf(s.First(), s) == s
+	return g.Component(s) == s
+}
+
+// Component returns the connected component of s that contains its
+// lowest index; the empty set has none and yields the empty set.
+func (g *Graph) Component(s Set) Set {
+	if s == 0 {
+		return 0
+	}
+	return g.componentOf(s.First(), s)
 }
 
 // componentOf returns the connected component of seed within the
-// restriction of the graph to universe.
+// restriction of the graph to universe. It walks the frontier's bits in
+// place, so connectivity queries allocate nothing.
 func (g *Graph) componentOf(seed int, universe Set) Set {
 	comp := Singleton(seed)
 	frontier := comp
 	for frontier != 0 {
 		var next Set
-		for _, i := range frontier.Indexes() {
-			next |= g.adj[i] & universe
+		for f := frontier; f != 0; f &= f - 1 {
+			next |= g.adj[f.First()] & universe
 		}
 		frontier = next &^ comp
 		comp |= frontier

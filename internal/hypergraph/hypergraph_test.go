@@ -398,3 +398,39 @@ func TestAcyclicityHierarchy(t *testing.T) {
 		}
 	}
 }
+
+func TestComponent(t *testing.T) {
+	g := graphOf("AB", "BC", "DE", "EF", "CG")
+	cases := []struct{ s, want Set }{
+		{0, 0},
+		{0b00001, 0b00001},
+		{0b11111, 0b10011},
+		{0b11110, 0b10010},
+		{0b01100, 0b01100},
+		{0b10101, 0b00001},
+	}
+	for _, c := range cases {
+		if got := g.Component(c.s); got != c.want {
+			t.Errorf("Component(%v) = %v, want %v", c.s, got, c.want)
+		}
+	}
+}
+
+// The evaluator's default split asks for connectivity on every memo
+// miss, so the queries must not allocate.
+func TestConnectivityQueriesAllocateNothing(t *testing.T) {
+	g := graphOf("AB", "BC", "CD", "DE", "EF", "FG", "GA", "XY")
+	all := g.All()
+	queries := map[string]func(){
+		"Connected":      func() { g.Connected(all) },
+		"ComponentCount": func() { g.ComponentCount(all) },
+		"Component":      func() { g.Component(all) },
+		"Linked":         func() { g.Linked(0b0000111, 0b1111000) },
+		"Neighbors":      func() { g.Neighbors(0b0000111) },
+	}
+	for name, q := range queries {
+		if a := testing.AllocsPerRun(100, q); a != 0 {
+			t.Errorf("%s allocates %.1f times per call", name, a)
+		}
+	}
+}

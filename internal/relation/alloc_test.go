@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -70,5 +71,25 @@ func TestSemijoinAllocBudget(t *testing.T) {
 	const budget = 500
 	if allocs > budget {
 		t.Fatalf("Semijoin allocates %.0f allocs/op, budget %d", allocs, budget)
+	}
+}
+
+// A Cartesian product's size is known before it is built, so its
+// output slab is allocated once at full size rather than grown.
+func TestCartesianJoinAllocatesSlabOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	r := benchRel(rng, "R", "AB", 300, 1000)
+	s := benchRel(rng, "S", "CD", 300, 1000)
+	Join(r, s)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := Join(r, s)
+	runtime.ReadMemStats(&after)
+	if out.Size() != r.Size()*s.Size() {
+		t.Fatalf("product has %d rows, want %d", out.Size(), r.Size()*s.Size())
+	}
+	slab := uint64(out.Size() * out.Schema().Len() * 4)
+	if got := after.TotalAlloc - before.TotalAlloc; got > slab+slab/8 {
+		t.Fatalf("Cartesian join allocated %d bytes for a %d-byte slab", got, slab)
 	}
 }

@@ -129,7 +129,13 @@ func joinSequential(out *Relation, r, s *Relation, sData []uint32, plan joinPlan
 	}
 	w := plan.out.Len()
 	sw := s.schema.Len()
-	out.data = make([]uint32, 0, w*max(r.n, s.n))
+	rows := max(r.n, s.n)
+	if len(plan.rShared) == 0 {
+		// A Cartesian product's size is known: size the slab exactly
+		// instead of growing it by repeated copies.
+		rows = r.n * s.n
+	}
+	out.data = make([]uint32, 0, w*rows)
 	var scratch [scratchWidth]uint32
 	buf := scratch[:]
 	if w > scratchWidth {

@@ -14,6 +14,9 @@ import (
 func DOT(ev *database.Evaluator, s *Node) string {
 	db := ev.Database()
 	g := db.Graph()
+	// Materialize the steps from their own children first, as Cost
+	// does; the pre-order walk below then reads memoized sizes only.
+	s.Cost(ev)
 	var b strings.Builder
 	b.WriteString("digraph strategy {\n")
 	b.WriteString("  rankdir=BT;\n  node [fontname=\"Helvetica\"];\n")

@@ -14,6 +14,7 @@ import (
 
 	"multijoin/internal/database"
 	"multijoin/internal/hypergraph"
+	"multijoin/internal/relation"
 )
 
 // Node is a node of a strategy tree. A leaf holds a single relation
@@ -240,12 +241,23 @@ func (n *Node) AvoidsCartesian(g *hypergraph.Graph) bool {
 	return n.CartesianStepCount(g) == g.ComponentCount(n.set)-1
 }
 
+// Eval returns the node's relation state R_D′. On a memo miss a step
+// is materialized from its own children (database.Evaluator.EvalJoin),
+// the way an executor runs it, so evaluating a strategy's steps in
+// post-order builds exactly the strategy's intermediate results.
+func (n *Node) Eval(ev *database.Evaluator) *relation.Relation {
+	if n.IsLeaf() {
+		return ev.Eval(n.set)
+	}
+	return ev.EvalJoin(n.left.set, n.right.set)
+}
+
 // Cost returns τ(S): the total number of tuples generated by the
 // strategy's steps, including the final result (Section 2).
 func (n *Node) Cost(ev *database.Evaluator) int {
 	total := 0
 	for _, s := range n.Steps() {
-		total += ev.Size(s.set)
+		total += s.Eval(ev).Size()
 	}
 	return total
 }
@@ -256,7 +268,7 @@ func (n *Node) StepCosts(ev *database.Evaluator) []int {
 	steps := n.Steps()
 	out := make([]int, len(steps))
 	for i, s := range steps {
-		out[i] = ev.Size(s.set)
+		out[i] = s.Eval(ev).Size()
 	}
 	return out
 }
@@ -265,7 +277,7 @@ func (n *Node) StepCosts(ev *database.Evaluator) []int {
 // than either of its operands (Section 5).
 func (n *Node) MonotoneDecreasing(ev *database.Evaluator) bool {
 	for _, s := range n.Steps() {
-		c := ev.Size(s.set)
+		c := s.Eval(ev).Size()
 		if c > ev.Size(s.left.set) || c > ev.Size(s.right.set) {
 			return false
 		}
@@ -277,7 +289,7 @@ func (n *Node) MonotoneDecreasing(ev *database.Evaluator) bool {
 // tuples as each of its operands (Section 5).
 func (n *Node) MonotoneIncreasing(ev *database.Evaluator) bool {
 	for _, s := range n.Steps() {
-		c := ev.Size(s.set)
+		c := s.Eval(ev).Size()
 		if c < ev.Size(s.left.set) || c < ev.Size(s.right.set) {
 			return false
 		}

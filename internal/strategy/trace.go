@@ -56,7 +56,7 @@ func TraceEvaluation(ev *database.Evaluator, s *Node) Trace {
 	for _, step := range s.Steps() {
 		l, r := step.Left(), step.Right()
 		ls, rs := ev.Size(l.Set()), ev.Size(r.Set())
-		out := ev.Size(step.Set())
+		out := step.Eval(ev).Size()
 		st := StepTrace{
 			Expr:       l.Render(db) + "⋈" + r.Render(db),
 			LeftSize:   ls,
@@ -133,7 +133,7 @@ type AbortResult struct {
 func EvaluateWithAbort(ev *database.Evaluator, s *Node) AbortResult {
 	var out AbortResult
 	for _, step := range s.Steps() {
-		size := ev.Size(step.Set())
+		size := step.Eval(ev).Size()
 		out.StepsRun++
 		out.CostPaid += size
 		if size == 0 {

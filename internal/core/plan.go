@@ -60,7 +60,7 @@ func fnvInt(h uint64, v int) uint64 {
 }
 
 // FingerprintDB computes the database's plan-cache fingerprint in one
-// pass over the data. The statistics digested here are exactly the ones
+// pass over each column's ID slab, decoding no rows. The statistics digested here are exactly the ones
 // estimate.Catalog gathers (cardinality, per-attribute distinct counts),
 // so two databases with equal fingerprints are indistinguishable to
 // every planning rung from the DP down.
@@ -76,11 +76,7 @@ func FingerprintDB(db *database.Database) Fingerprint {
 		}
 		stats = fnvInt(stats, r.Size())
 		for col := range attrs {
-			distinct := make(map[relation.Value]struct{})
-			for _, row := range r.Rows() {
-				distinct[row[col]] = struct{}{}
-			}
-			stats = fnvInt(stats, len(distinct))
+			stats = fnvInt(stats, relation.DistinctCount(r, col))
 		}
 	}
 	return Fingerprint{Shape: shape, Stats: stats}

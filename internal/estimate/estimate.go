@@ -55,9 +55,10 @@ type Catalog struct {
 	touched []int
 }
 
-// NewCatalog gathers exact statistics from the database's states. The
-// *statistics* are exact; the *estimates* derived from them assume
-// uniformity and independence, which is where reality leaks away.
+// NewCatalog gathers exact statistics from the database's states, one
+// pass over each column's ID slab per distinct count. The *statistics*
+// are exact; the *estimates* derived from them assume uniformity and
+// independence, which is where reality leaks away.
 func NewCatalog(db *database.Database) *Catalog {
 	c := &Catalog{
 		db:       db,
@@ -82,10 +83,10 @@ func NewCatalog(db *database.Database) *Catalog {
 		r := db.Relation(i)
 		c.card[i] = float64(r.Size())
 		c.distinct[i] = make([]float64, len(c.attrs))
-		for _, a := range r.Schema().Attrs() { // Attrs() is sorted, so positions ascend
+		for col, a := range r.Schema().Attrs() { // Attrs() is sorted, so positions ascend
 			pos := c.index[a]
 			c.relAttrs[i] = append(c.relAttrs[i], pos)
-			c.distinct[i][pos] = float64(relation.Project(r, relation.NewSchema(a)).Size())
+			c.distinct[i][pos] = float64(relation.DistinctCount(r, col))
 		}
 	}
 	c.counts = make([]int, len(c.attrs))

@@ -1,21 +1,11 @@
 package estimate
 
 import (
-	"sort"
-
 	"multijoin/internal/database"
 	"multijoin/internal/hypergraph"
 	"multijoin/internal/relation"
 	"multijoin/internal/strategy"
 )
-
-// valCount is one histogram bucket: a value and its tuple frequency.
-// Buckets are kept sorted by value so pairwise selectivities are a
-// deterministic two-pointer merge instead of a map walk.
-type valCount struct {
-	v relation.Value
-	c float64
-}
 
 // HistogramCatalog refines the plain Catalog with exact per-attribute
 // value frequencies (full-resolution histograms). Joins on a single
@@ -27,44 +17,49 @@ type valCount struct {
 // the regret better statistics recover, and how much is inherent to the
 // independence assumption the paper distrusts.
 //
+// The histograms are never stored: each pairwise match count depends
+// only on (attribute, relation j, relation i), so construction counts
+// every one once, straight off the ID slabs, and Size only multiplies
+// entries of the resulting selectivity table.
+//
 // Like Catalog, a HistogramCatalog is not safe for concurrent use: Size
 // reuses per-catalog scratch buffers.
 type HistogramCatalog struct {
 	*Catalog
-	// freq[i][pos] is relation i's histogram on universe position pos,
-	// sorted by value (nil when the relation lacks the attribute).
-	freq [][][]valCount
+	// sel[i][k][j], for j < i both carrying relation i's k-th attribute
+	// (universe position relAttrs[i][k]), is the selectivity of the
+	// equi-join predicate on that attribute between relations j and i:
+	// Σ_v f_j(v)·f_i(v) / (|R_j|·|R_i|). sel[i][k] is nil when no
+	// earlier relation carries the attribute.
+	sel [][][]float64
 	// seenBy is Size's scratch: seenBy[pos] is the relation already
 	// providing the attribute at pos, or -1.
 	seenBy []int
 }
 
-// NewHistogramCatalog gathers full histograms from the database.
+// NewHistogramCatalog gathers the pairwise histogram matches from the
+// database: one relation.MatchCount per attribute and pair of relations
+// carrying it.
 func NewHistogramCatalog(db *database.Database) *HistogramCatalog {
 	h := &HistogramCatalog{
 		Catalog: NewCatalog(db),
-		freq:    make([][][]valCount, db.Len()),
+		sel:     make([][][]float64, db.Len()),
 	}
+	// carriers[pos] lists the (relation, column) pairs seen so far that
+	// carry the attribute at universe position pos.
+	type carrier struct{ rel, col int }
+	carriers := make([][]carrier, len(h.attrs))
 	for i := 0; i < db.Len(); i++ {
-		r := db.Relation(i)
-		attrs := r.Schema().Attrs()
-		counts := make([]map[relation.Value]float64, len(attrs))
-		for j := range counts {
-			counts[j] = make(map[relation.Value]float64)
-		}
-		for _, row := range r.Rows() {
-			for j := range attrs {
-				counts[j][row[j]]++
+		h.sel[i] = make([][]float64, len(h.relAttrs[i]))
+		for col, pos := range h.relAttrs[i] {
+			if len(carriers[pos]) > 0 {
+				row := make([]float64, i)
+				for _, c := range carriers[pos] {
+					row[c.rel] = h.pairSelectivity(c.rel, c.col, i, col)
+				}
+				h.sel[i][col] = row
 			}
-		}
-		h.freq[i] = make([][]valCount, len(h.attrs))
-		for j, a := range attrs {
-			buckets := make([]valCount, 0, len(counts[j]))
-			for v, c := range counts[j] {
-				buckets = append(buckets, valCount{v: v, c: c})
-			}
-			sort.Slice(buckets, func(x, y int) bool { return buckets[x].v < buckets[y].v })
-			h.freq[i][h.index[a]] = buckets
+			carriers[pos] = append(carriers[pos], carrier{i, col})
 		}
 	}
 	h.seenBy = make([]int, len(h.attrs))
@@ -72,6 +67,18 @@ func NewHistogramCatalog(db *database.Database) *HistogramCatalog {
 		h.seenBy[pos] = -1
 	}
 	return h
+}
+
+// pairSelectivity is the selectivity of the equi-join predicate between
+// column cj of relation j and column ci of relation i. The match count
+// is an exact integer, so the selectivity does not depend on the order
+// in which the frequency products are summed.
+func (h *HistogramCatalog) pairSelectivity(j, cj, i, ci int) float64 {
+	if h.card[j] == 0 || h.card[i] == 0 {
+		return 0
+	}
+	match := relation.MatchCount(h.db.Relation(j), cj, h.db.Relation(i), ci)
+	return float64(match) / (h.card[j] * h.card[i])
 }
 
 // Size estimates τ(R_S) by folding relations into the subset in
@@ -84,8 +91,9 @@ func NewHistogramCatalog(db *database.Database) *HistogramCatalog {
 // two histograms as Σ_v f₁(v)·f₂(v) / (|R₁|·|R₂|) — the exact
 // selectivity of that pairwise predicate — with independence assumed
 // between predicates. Better than uniform 1/maxDistinct, still not τ.
-// The fold order and the sorted-bucket merges make the float product
-// deterministic, and the hot path allocates nothing.
+// Each factor is a lookup in the precomputed selectivity table; the
+// fixed fold order makes the float product deterministic, and the hot
+// path allocates nothing.
 func (h *HistogramCatalog) Size(s hypergraph.Set) float64 {
 	if s.Empty() {
 		return 0
@@ -101,11 +109,11 @@ func (h *HistogramCatalog) Size(s hypergraph.Set) float64 {
 		i := rest.First()
 		rest = rest.Remove(i)
 		est *= h.card[i]
-		for _, pos := range h.relAttrs[i] {
+		for k, pos := range h.relAttrs[i] {
 			// The provider stays the first relation carrying the attribute,
 			// matching the uniform model's max-distinct anchor.
 			if j := h.seenBy[pos]; j >= 0 {
-				est *= h.pairSelectivity(pos, j, i)
+				est *= h.sel[i][k][j]
 			} else {
 				h.seenBy[pos] = i
 				h.touched = append(h.touched, pos)
@@ -116,30 +124,6 @@ func (h *HistogramCatalog) Size(s hypergraph.Set) float64 {
 		h.seenBy[pos] = -1
 	}
 	return est
-}
-
-// pairSelectivity estimates the selectivity of the equi-join predicate
-// on the attribute at universe position pos between relations j and i,
-// merging their sorted histograms.
-func (h *HistogramCatalog) pairSelectivity(pos, j, i int) float64 {
-	fj, fi := h.freq[j][pos], h.freq[i][pos]
-	if len(fj) == 0 || len(fi) == 0 || h.card[j] == 0 || h.card[i] == 0 {
-		return 0
-	}
-	match := 0.0
-	for x, y := 0, 0; x < len(fj) && y < len(fi); {
-		switch {
-		case fj[x].v < fi[y].v:
-			x++
-		case fj[x].v > fi[y].v:
-			y++
-		default:
-			match += fj[x].c * fi[y].c
-			x++
-			y++
-		}
-	}
-	return match / (h.card[j] * h.card[i])
 }
 
 // Cost estimates τ(S) for a strategy under the histogram model.

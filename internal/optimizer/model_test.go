@@ -264,3 +264,59 @@ func TestGreedyEarlyStopGuarded(t *testing.T) {
 		t.Fatalf("want states budget error, got %v", err)
 	}
 }
+
+// The subset DP asks the size model for τ(R_s) once per expanded
+// subset, not once per split: the size does not depend on the split, and
+// for the exact model every extra call is a sharded-memo lookup. Every
+// space must stay within one call per expanded state, with no subset
+// asked twice, and still pick the plan the exact DP picks.
+func TestOptimizeModelSizesEachSubsetOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(215))
+	dbs := []*database.Database{paperex.Example1(), paperex.Example5()}
+	for _, sh := range []gen.Shape{gen.Chain, gen.Cycle, gen.Star, gen.Clique} {
+		dbs = append(dbs, gen.Zipf(rng, gen.Schemes(sh, 6), 8, 4, 1.4))
+	}
+	// Unconnected: two chains side by side, so NoCP splits across
+	// components and LinearNoCP is empty.
+	dbs = append(dbs, database.New(
+		relation.FromStrings("R1", "AB", "1 2", "2 2"),
+		relation.FromStrings("R2", "BC", "2 3"),
+		relation.FromStrings("R3", "DE", "4 5", "5 5"),
+		relation.FromStrings("R4", "EF", "5 6"),
+	))
+	for di, db := range dbs {
+		for _, space := range DPSpaces() {
+			ev := database.NewEvaluator(db)
+			calls := map[hypergraph.Set]int{}
+			counting := func(s hypergraph.Set) float64 {
+				calls[s]++
+				return float64(ev.Size(s))
+			}
+			res, err := OptimizeModel(db, counting, space)
+			if errors.Is(err, ErrEmptySpace) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("db %d %v: %v", di, space, err)
+			}
+			total := 0
+			for s, n := range calls {
+				if n > 1 {
+					t.Fatalf("db %d %v: size model asked %d times for %b", di, space, n, s)
+				}
+				total += n
+			}
+			if total > res.States {
+				t.Fatalf("db %d %v: %d size-model calls for %d expanded states", di, space, total, res.States)
+			}
+			exact, err := Optimize(database.NewEvaluator(db), space)
+			if err != nil {
+				t.Fatalf("db %d %v: exact: %v", di, space, err)
+			}
+			if int(res.Est) != exact.Cost || !res.Strategy.Equal(exact.Strategy) {
+				t.Fatalf("db %d %v: model plan %v (est %v), exact %v (τ %d)",
+					di, space, res.Strategy, res.Est, exact.Strategy, exact.Cost)
+			}
+		}
+	}
+}

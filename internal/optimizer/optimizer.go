@@ -234,6 +234,10 @@ func (o *dp) solve(s hypergraph.Set) float64 {
 	best := math.Inf(1)
 	o.cost[s] = best // guard against re-entry; overwritten below
 	var bestSplit [2]hypergraph.Set
+	// τ(R_s) is the same for every split, so the size model is asked
+	// once, on the first split whose sides both admit a subtree (a
+	// subset with no such split is never sized).
+	sz, sized := 0.0, false
 
 	consider := func(a, b hypergraph.Set) {
 		if o.hasCartesian && !o.g.Linked(a, b) {
@@ -249,7 +253,10 @@ func (o *dp) solve(s hypergraph.Set) float64 {
 			o.cPruned.Inc()
 			return
 		}
-		total := ca + cb + o.size(s)
+		if !sized {
+			sz, sized = o.size(s), true
+		}
+		total := ca + cb + sz
 		if total < best {
 			best = total
 			bestSplit = [2]hypergraph.Set{a, b}

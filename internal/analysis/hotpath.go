@@ -21,8 +21,9 @@ const HotPathDirective = "//joinlint:hotpath"
 //     fresh string per iteration — the dictionary exists so loops
 //     compare uint32 IDs instead), or
 //   - allocate a map inside a loop (per-row map allocation is the
-//     failure mode the interning rewrite removed; hoist the map or use
-//     a groupMap-style packed structure).
+//     failure mode the interning rewrite removed; hoist the map, or
+//     index rows in flat slices as the join kernel's chained table
+//     does).
 //
 // Untagged files are never checked: the analyzer draws the hot/cold
 // boundary exactly where the kernel declares it.

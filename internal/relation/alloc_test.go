@@ -20,9 +20,10 @@ func TestJoinAllocBudget(t *testing.T) {
 	// Warm the dictionary and the one-time lazy structures.
 	Join(r, s)
 	allocs := testing.AllocsPerRun(10, func() { Join(r, s) })
-	// Measured ~380 allocs (output slab growth + build map); the old
-	// kernel spent ~40000 on the same input.
-	const budget = 1500
+	// Measured 18 allocs: the output slab's growth steps plus the
+	// chained table's two slices. The map-and-spill build it replaced
+	// spent ~390, the string-keyed kernel ~40000.
+	const budget = 64
 	if allocs > budget {
 		t.Fatalf("Join allocates %.0f allocs/op, budget %d", allocs, budget)
 	}
@@ -35,9 +36,10 @@ func TestParallelJoinAllocBudget(t *testing.T) {
 	s := benchRel(rng, "S", "BC", 1000, 100)
 	Join(r, s)
 	allocs := testing.AllocsPerRun(10, func() { Join(r, s) })
-	// The partitioned path adds per-partition maps, slabs, and
-	// goroutine bookkeeping on top of the sequential cost.
-	const budget = 3000
+	// The partitioned path adds per-partition tables, slabs, and
+	// goroutine bookkeeping on top of the sequential cost (measured 139
+	// allocs; the map-and-spill build spent ~600).
+	const budget = 400
 	if allocs > budget {
 		t.Fatalf("parallel Join allocates %.0f allocs/op, budget %d", allocs, budget)
 	}
@@ -68,9 +70,34 @@ func TestSemijoinAllocBudget(t *testing.T) {
 	s := benchRel(rng, "S", "BC", 1000, 100)
 	Semijoin(r, s)
 	allocs := testing.AllocsPerRun(10, func() { Semijoin(r, s) })
-	const budget = 500
+	// Measured 18 allocs (the output slab's growth steps plus the
+	// chained table); the map-and-spill build spent ~390.
+	const budget = 64
 	if allocs > budget {
 		t.Fatalf("Semijoin allocates %.0f allocs/op, budget %d", allocs, budget)
+	}
+}
+
+// Repeated join keys only lengthen the chained table's chains, so the
+// build allocates the same two slices however often a key repeats;
+// what remains is the output slab's growth. The map-and-spill build
+// allocated a spill slice per repeated key (62–391 allocs here).
+func TestJoinAllocsUnderRepeatedKeys(t *testing.T) {
+	const budget = 32
+	for _, domain := range []int{10, 100, 1000} {
+		rng := rand.New(rand.NewSource(15))
+		r := benchRel(rng, "R", "AB", 1000, domain)
+		s := benchRel(rng, "S", "BC", 1000, domain)
+		if Join(r, s).JoinPartitions() != 0 {
+			t.Fatalf("domain %d: join took the partitioned path", domain)
+		}
+		Semijoin(r, s)
+		if allocs := testing.AllocsPerRun(10, func() { Join(r, s) }); allocs > budget {
+			t.Errorf("domain %d: Join allocates %.0f allocs/op, budget %d", domain, allocs, budget)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { Semijoin(r, s) }); allocs > budget {
+			t.Errorf("domain %d: Semijoin allocates %.0f allocs/op, budget %d", domain, allocs, budget)
+		}
 	}
 }
 

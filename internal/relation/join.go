@@ -4,6 +4,7 @@ package relation
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,22 +12,24 @@ import (
 )
 
 // The join kernel. Both sides are dictionary-encoded ID slabs, so the
-// build and probe phases hash and compare machine words only. Schema
-// position resolution is a single linear merge over the two sorted
-// attribute lists (no per-call maps), and the output is emitted into
-// one flat slab with no per-row dedup: a natural-join output row
-// determines its (r row, s row) source pair — restricting it to R gives
-// back the r row and to S the s row, both sets — so distinct pairs
-// yield distinct outputs and the join of two sets is duplicate-free by
-// construction.
+// build and probe phases hash and compare machine words only; the build
+// side goes into a chainTable (chain.go), whose cost does not depend on
+// how often a join key repeats. Schema position resolution is a single
+// linear merge over the two sorted attribute lists (no per-call maps),
+// and the output is emitted into one flat slab with no per-row dedup: a
+// natural-join output row determines its (r row, s row) source pair —
+// restricting it to R gives back the r row and to S the s row, both
+// sets — so distinct pairs yield distinct outputs and the join of two
+// sets is duplicate-free by construction.
 //
-// Above parallelJoinThreshold combined input rows (and when the schemes
-// actually share attributes), the kernel partitions both sides by the
-// shared-key hash and joins the partitions on a worker pool. Equal rows
-// agree on their shared attributes, so they land in the same partition
-// and per-partition independence holds; concatenating the partition
-// slabs in fixed partition order keeps the result deterministic for a
-// given input, independent of GOMAXPROCS.
+// A join of unlinked schemes (a Cartesian product) builds no table; it
+// fills an exactly sized slab. Above parallelJoinThreshold combined
+// input rows, a linked join partitions both sides by the shared-key
+// hash and joins the partitions on a worker pool. Equal rows agree on
+// their shared attributes, so they land in the same partition and
+// per-partition independence holds; concatenating the partition slabs
+// in fixed partition order keeps the result deterministic for a given
+// input, independent of GOMAXPROCS.
 
 // parallelJoinThreshold is the combined input row count above which
 // Join switches to the partitioned parallel path. It is a variable so
@@ -111,64 +114,76 @@ func Join(r, s *Relation) *Relation {
 	plan := planJoin(r.schema, s.schema)
 	out := NewIn(r.dict, joinName(r, s), plan.out)
 	sData := alignedData(s, r.dict)
-	if len(plan.rShared) > 0 && r.n+s.n >= parallelJoinThreshold {
+	switch {
+	case len(plan.rShared) == 0:
+		joinCartesian(out, r, s, sData, plan)
+	case r.n+s.n >= parallelJoinThreshold:
 		joinPartitioned(out, r, s, sData, plan)
-	} else {
-		joinSequential(out, r, s, sData, plan)
+	default:
+		out.data = joinRows(r, nil, sData, s.schema.Len(), nil, plan)
+		out.n = len(out.data) / plan.out.Len()
 	}
 	return out
 }
 
-// joinSequential builds on r, probes with s, and appends matches to
-// out's slab in probe order — the same tuple order the pre-dictionary
-// kernel produced.
-func joinSequential(out *Relation, r, s *Relation, sData []uint32, plan joinPlan) {
-	build := newGroupMap(r.n)
-	for i := 0; i < r.n; i++ {
-		build.add(hashIDsAt(r.rowIDs(i), plan.rShared), int32(i))
+// fill writes the output row of the source pair (rRow, sRow) into row.
+func (p *joinPlan) fill(row, rRow, sRow []uint32) {
+	for k := range row {
+		if p.fromS[k] {
+			row[k] = sRow[p.pos[k]]
+		} else {
+			row[k] = rRow[p.pos[k]]
+		}
 	}
-	w := plan.out.Len()
-	sw := s.schema.Len()
-	rows := max(r.n, s.n)
-	if len(plan.rShared) == 0 {
-		// A Cartesian product's size is known: size the slab exactly
-		// instead of growing it by repeated copies.
-		rows = r.n * s.n
-	}
-	out.data = make([]uint32, 0, w*rows)
-	var scratch [scratchWidth]uint32
-	buf := scratch[:]
-	if w > scratchWidth {
-		buf = make([]uint32, w)
-	}
-	buf = buf[:w]
-	var one [1]int32
+}
+
+// joinCartesian joins unlinked schemes. Every pair matches, so no table
+// is built: the product's size is known, and the slab is allocated
+// exactly and filled s row outer, r row inner — the order a probe of
+// an all-matching build would emit.
+func joinCartesian(out *Relation, r, s *Relation, sData []uint32, plan joinPlan) {
+	w, rw, sw := plan.out.Len(), r.schema.Len(), s.schema.Len()
+	out.n = r.n * s.n
+	out.data = make([]uint32, out.n*w)
+	o := 0
 	for j := 0; j < s.n; j++ {
 		sRow := sData[j*sw : j*sw+sw]
-		first, chain, ok := build.lookup(hashIDsAt(sRow, plan.sShared))
-		if !ok {
-			continue
+		for i := 0; i < r.n; i++ {
+			plan.fill(out.data[o:o+w], r.data[i*rw:i*rw+rw], sRow)
+			o += w
 		}
-		if chain == nil {
-			one[0] = first
-			chain = one[:]
-		}
-		for _, ri := range chain {
-			rRow := r.rowIDs(int(ri))
+	}
+}
+
+// joinRows is the build/probe routine both linked join paths share. It
+// builds a chainTable on the listed rows of r, probes it with the
+// listed rows of sData in list order, and returns a fresh output slab
+// holding, per probe row, its matches in ascending build order. A nil
+// list selects every row of its side.
+func joinRows(r *Relation, rRows []int32, sData []uint32, sw int, sRows []int32, plan joinPlan) []uint32 {
+	rw := r.schema.Len()
+	rn, sn := listLen(rRows, r.data, rw), listLen(sRows, sData, sw)
+	if rn == 0 || sn == 0 {
+		return nil
+	}
+	t := newChainTable(r.data, rw, rRows, plan.rShared)
+	w := plan.out.Len()
+	out := make([]uint32, 0, w*max(rn, sn))
+	for j := 0; j < sn; j++ {
+		sj := rowAt(sRows, j)
+		sRow := sData[sj*sw : sj*sw+sw]
+		for k := t.first(hashIDsAt(sRow, plan.sShared)); k != 0; k = t.next[k-1] {
+			ri := rowAt(rRows, int(k-1))
+			rRow := r.data[ri*rw : ri*rw+rw]
 			if !equalIDsAt(rRow, plan.rShared, sRow, plan.sShared) {
 				continue
 			}
-			for k := 0; k < w; k++ {
-				if plan.fromS[k] {
-					buf[k] = sRow[plan.pos[k]]
-				} else {
-					buf[k] = rRow[plan.pos[k]]
-				}
-			}
-			out.data = append(out.data, buf...)
-			out.n++
+			o := len(out)
+			out = slices.Grow(out, w)[:o+w]
+			plan.fill(out[o:], rRow, sRow)
 		}
 	}
+	return out
 }
 
 // bucketRows assigns each row to a partition by its shared-key hash,
@@ -235,7 +250,11 @@ func joinPartitioned(out *Relation, r, s *Relation, sData []uint32, plan joinPla
 				if pi >= joinPartitionCount {
 					return
 				}
-				slabs[pi] = joinPartition(r, sData, sw, rIdx[pi], sIdx[pi], plan)
+				// An empty list must not reach joinRows, which reads
+				// nil as every row.
+				if len(rIdx[pi]) > 0 && len(sIdx[pi]) > 0 {
+					slabs[pi] = joinRows(r, rIdx[pi], sData, sw, sIdx[pi], plan)
+				}
 			}
 		}()
 	}
@@ -257,52 +276,6 @@ func joinPartitioned(out *Relation, r, s *Relation, sData []uint32, plan joinPla
 	out.partitions = joinPartitionCount
 }
 
-// joinPartition joins one partition pair into a fresh slab.
-func joinPartition(r *Relation, sData []uint32, sw int, rRows, sRows []int32, plan joinPlan) []uint32 {
-	if len(rRows) == 0 || len(sRows) == 0 {
-		return nil
-	}
-	build := newGroupMap(len(rRows))
-	for _, ri := range rRows {
-		build.add(hashIDsAt(r.rowIDs(int(ri)), plan.rShared), ri)
-	}
-	w := plan.out.Len()
-	slab := make([]uint32, 0, w*max(len(rRows), len(sRows)))
-	var scratch [scratchWidth]uint32
-	buf := scratch[:]
-	if w > scratchWidth {
-		buf = make([]uint32, w)
-	}
-	buf = buf[:w]
-	var one [1]int32
-	for _, sj := range sRows {
-		sRow := sData[int(sj)*sw : int(sj)*sw+sw]
-		first, chain, ok := build.lookup(hashIDsAt(sRow, plan.sShared))
-		if !ok {
-			continue
-		}
-		if chain == nil {
-			one[0] = first
-			chain = one[:]
-		}
-		for _, ri := range chain {
-			rRow := r.rowIDs(int(ri))
-			if !equalIDsAt(rRow, plan.rShared, sRow, plan.sShared) {
-				continue
-			}
-			for k := 0; k < w; k++ {
-				if plan.fromS[k] {
-					buf[k] = sRow[plan.pos[k]]
-				} else {
-					buf[k] = rRow[plan.pos[k]]
-				}
-			}
-			slab = append(slab, buf...)
-		}
-	}
-	return slab
-}
-
 // Semijoin computes r ⋉ s: the tuples of r that join with at least one
 // tuple of s. This is the primitive of the Bernstein–Chiu reducer used in
 // the Section 5 experiments. The output shares r's rows, so it is
@@ -321,24 +294,11 @@ func Semijoin(r, s *Relation) *Relation {
 	sShared := positions(s.schema, shared)
 	sData := alignedData(s, r.dict)
 	sw := s.schema.Len()
-	seen := newGroupMap(s.n)
-	for j := 0; j < s.n; j++ {
-		seen.add(hashIDsAt(sData[j*sw:j*sw+sw], sShared), int32(j))
-	}
-	var one [1]int32
+	t := newChainTable(sData, sw, nil, sShared)
 	for i := 0; i < r.n; i++ {
 		row := r.rowIDs(i)
-		first, chain, ok := seen.lookup(hashIDsAt(row, rShared))
-		if !ok {
-			continue
-		}
-		if chain == nil {
-			one[0] = first
-			chain = one[:]
-		}
-		for _, sj := range chain {
-			sRow := sData[int(sj)*sw : int(sj)*sw+sw]
-			if equalIDsAt(row, rShared, sRow, sShared) {
+		for k := t.first(hashIDsAt(row, rShared)); k != 0; k = t.next[k-1] {
+			if equalIDsAt(row, rShared, sData[int(k-1)*sw:int(k)*sw], sShared) {
 				out.appendIDs(row)
 				break
 			}

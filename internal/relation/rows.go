@@ -26,7 +26,8 @@ func hashIDs(ids []uint32) uint64 {
 }
 
 // hashIDsAt hashes the IDs at the given positions of a row — the join
-// and semijoin key hash over the shared attributes.
+// and semijoin key hash over the shared attributes, which both picks a
+// row's partition and (mixed by chainTable.slot) its chain.
 func hashIDsAt(row []uint32, pos []int) uint64 {
 	h := uint64(fnvOffset64)
 	for _, p := range pos {
@@ -59,12 +60,15 @@ func equalIDsAt(a []uint32, apos []int, b []uint32, bpos []int) bool {
 	return true
 }
 
-// groupMap maps 64-bit hashes to lists of row ordinals without paying
-// a slice-header allocation per distinct key: a hash with a single row
-// stores the ordinal directly in the map value, and only true hash
-// collisions spill into a chain. With a 64-bit hash over ID rows,
-// spills are vanishingly rare, so building a group map allocates O(1)
-// beyond the map itself.
+// groupMap is the membership index: it maps full-row hashes to row
+// ordinals without paying a slice-header allocation per distinct key.
+// A hash with a single row stores the ordinal directly in the map
+// value, and only true hash collisions spill into a chain. The rows of
+// a set are distinct and their 64-bit hash covers every column, so
+// spills are vanishingly rare and building the index allocates O(1)
+// beyond the map. It is incremental: appendIDs keeps it in step with
+// the slab. Join and semijoin keys repeat freely, so those one-shot
+// builds use chainTable (chain.go) instead.
 type groupMap struct {
 	m     map[uint64]int32
 	spill [][]int32
